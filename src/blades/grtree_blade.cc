@@ -1,17 +1,11 @@
 #include "blades/grtree_blade.h"
 
 #include <algorithm>
-#include <cstdio>
-#include <cstring>
 #include <memory>
 #include <vector>
 
-#include "blades/locking_store.h"
 #include "blades/timeextent.h"
 #include "common/strings.h"
-#include "storage/layout.h"
-#include "storage/node_cache.h"
-#include "storage/wal_store.h"
 #include "temporal/predicates.h"
 
 namespace grtdb {
@@ -33,227 +27,20 @@ struct GrtScanState {
   int64_t ct = 0;
 };
 
-// The Tree object of Table 5, stashed in the index descriptor's user data.
+// The Tree object of Table 5, stashed in the index descriptor's user data:
+// this open's tree over its use of the index's storage.
 struct GrtTreeState {
   GRTreeBladeOptions options;
-  std::unique_ptr<NodeStore> base_store;
-  // Buffer-managed frame pool directly above the base layout; the WAL and
-  // lock decorators sit on top so their semantics are unchanged. Declared
-  // here so destruction (reverse order) tears down locking → WAL → cache
-  // → base and the cache's write-back lands in a live base store.
-  std::unique_ptr<NodeCache> node_cache;
-  // kExternalFile only: the developer-built recovery layer of §5.3 — the
-  // server's own logging covers sbspace LOs, an OS file gets nothing.
-  std::unique_ptr<WalNodeStore> wal_store;
-  std::unique_ptr<LockingNodeStore> locking_store;
-  NodeStore* store = nullptr;
+  std::unique_ptr<IndexStore> storage;
   std::unique_ptr<GRTree> tree;
   GrtScanState* active_scan = nullptr;
 };
 
-// Brackets one index mutation in a WAL transaction when the index lives in
-// an external file: the statement's node writes hit the log first, so a
-// mid-statement crash can no longer tear the tree.
-Status WithWalTxn(GrtTreeState* state, const std::function<Status()>& body) {
-  if (state->wal_store == nullptr) return body();
-  GRTDB_RETURN_IF_ERROR(state->wal_store->Begin());
-  Status status = body();
-  if (!status.ok()) {
-    (void)state->wal_store->Rollback();
-    return status;
-  }
-  return state->wal_store->Commit();
-}
-
-// ---------------------------------------------------- AM catalog records --
-// The record grt_create() inserts "in the table associated with the
-// grtree_am access method": which storage layout, the anchor node, and the
-// layout's handles.
-
-struct StorageRecord {
-  GRTreeBladeOptions::Storage kind = GRTreeBladeOptions::Storage::kSingleLo;
-  NodeId anchor = kInvalidNodeId;
-  uint64_t lo = 0;                     // kSingleLo
-  std::vector<LoHandle> clusters;      // kLoPerNode / kLoPerSubtree
-  uint64_t node_count = 0;             // ditto
-  std::string path;                    // kExternalFile
-};
-
-std::vector<uint8_t> EncodeRecord(const StorageRecord& record) {
-  std::vector<uint8_t> out(1 + 8 + 8 + 8 + 4 + record.clusters.size() * 8 +
-                           4 + record.path.size());
-  uint8_t* p = out.data();
-  *p++ = static_cast<uint8_t>(record.kind);
-  StoreU64(p, record.anchor);
-  p += 8;
-  StoreU64(p, record.lo);
-  p += 8;
-  StoreU64(p, record.node_count);
-  p += 8;
-  StoreU32(p, static_cast<uint32_t>(record.clusters.size()));
-  p += 4;
-  for (const LoHandle& handle : record.clusters) {
-    StoreU64(p, handle.id);
-    p += 8;
-  }
-  StoreU32(p, static_cast<uint32_t>(record.path.size()));
-  p += 4;
-  std::memcpy(p, record.path.data(), record.path.size());
-  return out;
-}
-
-Status DecodeRecord(const std::vector<uint8_t>& bytes,
-                    StorageRecord* record) {
-  if (bytes.size() < 29) {
-    return Status::Corruption("short grtree_am catalog record");
-  }
-  const uint8_t* p = bytes.data();
-  record->kind = static_cast<GRTreeBladeOptions::Storage>(*p++);
-  record->anchor = LoadU64(p);
-  p += 8;
-  record->lo = LoadU64(p);
-  p += 8;
-  record->node_count = LoadU64(p);
-  p += 8;
-  const uint32_t clusters = LoadU32(p);
-  p += 4;
-  record->clusters.clear();
-  for (uint32_t i = 0; i < clusters; ++i) {
-    record->clusters.push_back(LoHandle{LoadU64(p)});
-    p += 8;
-  }
-  const uint32_t path_len = LoadU32(p);
-  p += 4;
-  record->path.assign(reinterpret_cast<const char*>(p), path_len);
-  return Status::OK();
-}
-
-// ------------------------------------------------------------- utilities --
-
-std::string ExternalPath(const GRTreeBladeOptions& options,
-                         const IndexDef* index) {
-  return options.external_dir + "/grtree_" + ToLower(index->name) + ".dat";
-}
-
-// Builds the NodeStore for `index` according to the blade's storage option
-// (§5.3). When `creating`, fresh storage is allocated and `record` filled
-// in; otherwise storage is reattached from `record`.
-Status MakeStore(MiCallContext& ctx, GrtTreeState* state,
-                 const IndexDef* index, bool creating,
-                 StorageRecord* record) {
-  const GRTreeBladeOptions& options = state->options;
-  if (options.storage == GRTreeBladeOptions::Storage::kExternalFile) {
-    const std::string path =
-        creating ? ExternalPath(options, index) : record->path;
-    if (creating) {
-      std::remove(path.c_str());
-      std::remove((path + ".wal").c_str());
-      record->kind = options.storage;
-      record->path = path;
-    }
-    auto store_or = ExternalFileNodeStore::Open(path);
-    if (!store_or.ok()) return store_or.status();
-    state->base_store = std::move(store_or).value();
-    NodeStore* wal_inner = state->base_store.get();
-    if (options.node_cache_pages > 0) {
-      // Cache below the WAL: safe because the WAL flushes its inner store
-      // (here: the cache, which writes back) before every log truncation.
-      state->node_cache = std::make_unique<NodeCache>(
-          wal_inner, options.node_cache_pages);
-      state->node_cache->set_trace(&ctx.server->trace());
-      state->node_cache->set_heat(&ctx.server->heat_tracker(), index->name);
-      if (ctx.server->observability_enabled()) {
-        state->node_cache->set_metrics(&ctx.server->metrics());
-      }
-      wal_inner = state->node_cache.get();
-    }
-    // §5.3: with an OS file the DataBlade must provide all recovery
-    // itself. Every open replays whatever a previous crash left behind.
-    auto wal_or = WalNodeStore::Open(wal_inner, path + ".wal");
-    if (!wal_or.ok()) return wal_or.status();
-    state->wal_store = std::move(wal_or).value();
-    state->wal_store->set_trace(&ctx.server->trace());
-    if (ctx.server->observability_enabled()) {
-      state->wal_store->set_metrics(&ctx.server->metrics());
-    }
-    GRTDB_RETURN_IF_ERROR(state->wal_store->Recover());
-    state->store = state->wal_store.get();
-    return Status::OK();
-  }
-
-  Sbspace* sbspace = ctx.server->FindSbspace(index->space);
-  if (sbspace == nullptr) {
-    return Status::NotFound("sbspace '" + index->space + "'");
-  }
-  switch (options.storage) {
-    case GRTreeBladeOptions::Storage::kSingleLo: {
-      LoHandle handle;
-      if (!creating) handle.id = record->lo;
-      auto store_or = SingleLoNodeStore::Open(sbspace, handle);
-      if (!store_or.ok()) return store_or.status();
-      if (creating) {
-        record->kind = options.storage;
-        record->lo = store_or.value()->handle().id;
-      }
-      state->base_store = std::move(store_or).value();
-      break;
-    }
-    case GRTreeBladeOptions::Storage::kLoPerNode:
-    case GRTreeBladeOptions::Storage::kLoPerSubtree: {
-      const uint64_t nodes_per_lo =
-          options.storage == GRTreeBladeOptions::Storage::kLoPerNode
-              ? 1
-              : options.nodes_per_lo;
-      auto store = std::make_unique<ClusteredLoNodeStore>(sbspace,
-                                                          nodes_per_lo);
-      if (creating) {
-        record->kind = options.storage;
-      } else {
-        store->RestoreState(record->clusters, record->node_count);
-      }
-      state->base_store = std::move(store);
-      break;
-    }
-    case GRTreeBladeOptions::Storage::kExternalFile:
-      break;  // handled above
-  }
-  NodeStore* tree_store = state->base_store.get();
-  if (options.node_cache_pages > 0) {
-    state->node_cache =
-        std::make_unique<NodeCache>(tree_store, options.node_cache_pages);
-    state->node_cache->set_trace(&ctx.server->trace());
-    state->node_cache->set_heat(&ctx.server->heat_tracker(), index->name);
-    if (ctx.server->observability_enabled()) {
-      state->node_cache->set_metrics(&ctx.server->metrics());
-    }
-    tree_store = state->node_cache.get();
-  }
-  if (options.lock_large_objects) {
-    state->locking_store = std::make_unique<LockingNodeStore>(
-        tree_store, &ctx.server->lock_manager(), ctx.session);
-    state->store = state->locking_store.get();
-  } else {
-    state->store = tree_store;
-  }
-  return Status::OK();
-}
-
-// Persists mutable layout state back into the AM catalog record (clustered
-// layouts grow their LO map as the tree grows).
-Status PersistRecord(MiCallContext& ctx, GrtTreeState* state,
-                     const IndexDef* index, const std::string& am_name) {
-  auto* clustered =
-      dynamic_cast<ClusteredLoNodeStore*>(state->base_store.get());
-  if (clustered == nullptr) return Status::OK();
-  std::vector<uint8_t> bytes;
-  GRTDB_RETURN_IF_ERROR(
-      ctx.server->AmCatalogGet(am_name, index->name, &bytes));
-  StorageRecord record;
-  GRTDB_RETURN_IF_ERROR(DecodeRecord(bytes, &record));
-  record.clusters = clustered->cluster_handles();
-  record.node_count = clustered->node_count();
-  return ctx.server->AmCatalogPut(am_name, index->name,
-                                  EncodeRecord(record));
+// Re-balances what kPostponeReinsert deletions left underfull, as one
+// logged mutation.
+Status FlushPending(GrtTreeState* state, int64_t ct) {
+  if (!state->tree->has_pending_condense()) return Status::OK();
+  return state->storage->Mutate([&] { return state->tree->FlushPending(ct); });
 }
 
 StatusOr<PredicateOp> OpFromStrategyName(const std::string& name,
@@ -333,28 +120,26 @@ struct BladeFns {
 BladeFns MakeBladeFns(const GRTreeBladeOptions& options) {
   BladeFns fns;
   const std::string am_name = options.am_name;
+  const IndexStoreOptions store_options = options;
 
-  auto open_tree = [options, am_name](MiCallContext& ctx,
-                                      MiAmTableDesc* desc) -> Status {
+  auto open_tree = [options, am_name, store_options](
+                       MiCallContext& ctx, MiAmTableDesc* desc) -> Status {
     auto state = std::make_unique<GrtTreeState>();
     state->options = options;
-    std::vector<uint8_t> bytes;
-    GRTDB_RETURN_IF_ERROR(
-        ctx.server->AmCatalogGet(am_name, desc->index->name, &bytes));
-    StorageRecord record;
-    GRTDB_RETURN_IF_ERROR(DecodeRecord(bytes, &record));
-    GRTDB_RETURN_IF_ERROR(
-        MakeStore(ctx, state.get(), desc->index, /*creating=*/false,
-                  &record));
-    auto tree_or = GRTree::Open(state->store, record.anchor, options.tree);
+    auto storage_or =
+        IndexStore::Attach(ctx, am_name, desc->index, store_options);
+    if (!storage_or.ok()) return storage_or.status();
+    state->storage = std::move(storage_or).value();
+    auto tree_or = GRTree::Open(state->storage->store(),
+                                state->storage->anchor(), options.tree);
     if (!tree_or.ok()) return tree_or.status();
     state->tree = std::move(tree_or).value();
     desc->user_data = state.release();
     return Status::OK();
   };
 
-  fns.create = [options, am_name](MiCallContext& ctx,
-                                  MiAmTableDesc* desc) -> Status {
+  fns.create = [options, am_name, store_options](
+                   MiCallContext& ctx, MiAmTableDesc* desc) -> Status {
     const IndexDef* index = desc->index;
     // Table 5, grt_create steps 2-4: column type, operator class, and
     // duplicate-index checks.
@@ -385,21 +170,15 @@ BladeFns MakeBladeFns(const GRTreeBladeOptions& options) {
     // Steps 5-7: create the BLOB(s), record them in the AM's table, open.
     auto state = std::make_unique<GrtTreeState>();
     state->options = options;
-    StorageRecord record;
-    GRTDB_RETURN_IF_ERROR(
-        MakeStore(ctx, state.get(), index, /*creating=*/true, &record));
+    auto storage_or = IndexStore::Create(ctx, am_name, index, store_options);
+    if (!storage_or.ok()) return storage_or.status();
+    state->storage = std::move(storage_or).value();
     NodeId anchor;
-    auto tree_or = GRTree::Create(state->store, options.tree, &anchor);
+    auto tree_or =
+        GRTree::Create(state->storage->store(), options.tree, &anchor);
     if (!tree_or.ok()) return tree_or.status();
     state->tree = std::move(tree_or).value();
-    record.anchor = anchor;
-    if (auto* clustered =
-            dynamic_cast<ClusteredLoNodeStore*>(state->base_store.get())) {
-      record.clusters = clustered->cluster_handles();
-      record.node_count = clustered->node_count();
-    }
-    GRTDB_RETURN_IF_ERROR(
-        ctx.server->AmCatalogPut(am_name, index->name, EncodeRecord(record)));
+    GRTDB_RETURN_IF_ERROR(state->storage->SaveRecord(ctx, anchor));
     desc->user_data = state.release();
     ctx.server->trace().Tprintf("grtree", 1, "created index %s",
                                 index->name.c_str());
@@ -414,73 +193,26 @@ BladeFns MakeBladeFns(const GRTreeBladeOptions& options) {
     return open_tree(ctx, desc);
   };
 
-  fns.close = [am_name](MiCallContext& ctx, MiAmTableDesc* desc) -> Status {
+  fns.close = [](MiCallContext& ctx, MiAmTableDesc* desc) -> Status {
     GrtTreeState* state = StateOf(desc);
     if (state == nullptr) return Status::OK();
-    Status status = Status::OK();
-    if (state->tree != nullptr) {
-      status = state->tree->FlushPending(ScanTime(ctx));
-    }
-    Status persist = PersistRecord(ctx, state, desc->index, am_name);
-    if (status.ok()) status = persist;
-    // Write dirty cached nodes back to the (server-shared) base storage
-    // while this statement's exclusive LO locks are still held — the next
-    // opener builds a fresh cache and must see them.
-    if (state->node_cache != nullptr) {
-      Status flushed = state->node_cache->Flush();
-      if (status.ok()) status = flushed;
-    }
-    if (state->locking_store != nullptr) {
-      state->locking_store->ReleaseSharedOnClose();
-    }
+    Status status = FlushPending(state, ScanTime(ctx));
+    Status closed = state->storage->Close(ctx);
+    if (status.ok()) status = closed;
     delete state;
     desc->user_data = nullptr;
     return status;
   };
 
-  fns.drop = [options, am_name, open_tree](MiCallContext& ctx,
-                                           MiAmTableDesc* desc) -> Status {
+  fns.drop = [open_tree](MiCallContext& ctx, MiAmTableDesc* desc) -> Status {
     if (desc->user_data == nullptr) {
       GRTDB_RETURN_IF_ERROR(open_tree(ctx, desc));
     }
     GrtTreeState* state = StateOf(desc);
     Status status = state->tree->Drop();
     // Release the storage: the single LO, the cluster LOs, or the file.
-    std::vector<uint8_t> bytes;
-    if (status.ok()) {
-      status = ctx.server->AmCatalogGet(am_name, desc->index->name, &bytes);
-    }
-    if (status.ok()) {
-      StorageRecord record;
-      status = DecodeRecord(bytes, &record);
-      if (status.ok()) {
-        Sbspace* sbspace = ctx.server->FindSbspace(desc->index->space);
-        switch (record.kind) {
-          case GRTreeBladeOptions::Storage::kSingleLo:
-            if (sbspace != nullptr) {
-              status = sbspace->DropLo(LoHandle{record.lo});
-            }
-            break;
-          case GRTreeBladeOptions::Storage::kLoPerNode:
-          case GRTreeBladeOptions::Storage::kLoPerSubtree:
-            if (sbspace != nullptr) {
-              for (const LoHandle& handle : record.clusters) {
-                if (handle.valid()) {
-                  Status drop = sbspace->DropLo(handle);
-                  if (status.ok()) status = drop;
-                }
-              }
-            }
-            break;
-          case GRTreeBladeOptions::Storage::kExternalFile:
-            std::remove(record.path.c_str());
-            std::remove((record.path + ".wal").c_str());
-            break;
-        }
-      }
-    }
-    Status forget = ctx.server->AmCatalogDelete(am_name, desc->index->name);
-    if (status.ok()) status = forget;
+    Status dropped = state->storage->Drop(ctx);
+    if (status.ok()) status = dropped;
     delete state;
     desc->user_data = nullptr;
     return status;
@@ -573,12 +305,10 @@ BladeFns MakeBladeFns(const GRTreeBladeOptions& options) {
     GrtTreeState* state = StateOf(sd->table_desc);
     auto* scan = static_cast<GrtScanState*>(sd->user_data);
     Status status = Status::OK();
-    if (state != nullptr && state->tree != nullptr &&
-        state->options.tree.deletion_policy ==
-            DeletionPolicy::kPostponeReinsert) {
+    if (state != nullptr && state->tree != nullptr) {
       // Deferred re-insertions happen once the scan no longer needs a
       // stable tree (§5.5).
-      status = state->tree->FlushPending(ScanTime(ctx));
+      status = FlushPending(state, ScanTime(ctx));
     }
     if (state != nullptr) state->active_scan = nullptr;
     delete scan;
@@ -592,7 +322,7 @@ BladeFns MakeBladeFns(const GRTreeBladeOptions& options) {
     if (state == nullptr) return Status::Internal("index not open");
     TimeExtent extent;
     GRTDB_RETURN_IF_ERROR(ExtentFromValue(keyrow.at(0), &extent));
-    return WithWalTxn(state, [&] {
+    return state->storage->Mutate([&] {
       return state->tree->Insert(extent, rowid, BladeCurrentTime(ctx));
     });
   };
@@ -605,7 +335,7 @@ BladeFns MakeBladeFns(const GRTreeBladeOptions& options) {
     GRTDB_RETURN_IF_ERROR(ExtentFromValue(keyrow.at(0), &extent));
     bool found = false;
     const uint64_t epoch_before = state->tree->condense_epoch();
-    GRTDB_RETURN_IF_ERROR(WithWalTxn(state, [&] {
+    GRTDB_RETURN_IF_ERROR(state->storage->Mutate([&] {
       return state->tree->Delete(extent, rowid, BladeCurrentTime(ctx), &found);
     }));
     if (!found) {
@@ -674,7 +404,7 @@ BladeFns MakeBladeFns(const GRTreeBladeOptions& options) {
     report.size = stats.size;
     report.height = stats.height;
     report.nodes = stats.nodes;
-    report.free_list = state->store->FreeListLength();
+    report.free_list = state->storage->store()->FreeListLength();
     report.computed_at = ct;
     const size_t max_entries = state->tree->max_entries();
     uint64_t total_entries = 0;

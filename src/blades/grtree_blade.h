@@ -3,6 +3,7 @@
 
 #include <string>
 
+#include "blades/index_store.h"
 #include "common/status.h"
 #include "core/grtree.h"
 #include "server/server.h"
@@ -14,8 +15,9 @@ namespace grtdb {
 // whole index in a single smart large object (§5.3), per-statement current
 // time unless the session chose SET TIME MODE TRANSACTION (§5.4), and
 // scan restart only on condensation (§5.5). The alternatives exist so the
-// benches can measure each design discussion.
-struct GRTreeBladeOptions {
+// benches can measure each design discussion. The §5.3 storage options are
+// the inherited IndexStoreOptions.
+struct GRTreeBladeOptions : IndexStoreOptions {
   // Registered access-method/opclass/purpose-function naming. Changing the
   // prefix lets several blade variants coexist in one server.
   std::string am_name = "grtree_am";
@@ -27,19 +29,6 @@ struct GRTreeBladeOptions {
   // am_getnext (the paper's choice); true = am_getnext dynamically resolves
   // and invokes the registered strategy UDRs on every candidate entry.
   bool dynamic_dispatch = false;
-
-  // §5.3 storage options.
-  enum class Storage { kSingleLo, kLoPerNode, kLoPerSubtree, kExternalFile };
-  Storage storage = Storage::kSingleLo;
-  uint64_t nodes_per_lo = 16;          // kLoPerSubtree cluster size
-  std::string external_dir = "/tmp";   // kExternalFile directory
-  // Informix's automatic LO-granularity two-phase locking; irrelevant (and
-  // absent, as §5.3 laments) for kExternalFile.
-  bool lock_large_objects = true;
-
-  // Frames in the buffer-managed node cache placed directly above the
-  // layout's base store (below locking and the WAL); 0 disables caching.
-  size_t node_cache_pages = 64;
 };
 
 // Installs the GR-tree DataBlade into `server`: exports the purpose

@@ -4,10 +4,8 @@
 #include <memory>
 #include <vector>
 
-#include "blades/locking_store.h"
+#include "blades/index_store.h"
 #include "blades/timeextent.h"
-#include "storage/layout.h"
-#include "storage/node_cache.h"
 #include "temporal/predicates.h"
 
 namespace grtdb {
@@ -31,26 +29,14 @@ struct RstScanState {
   int64_t ct = 0;
 };
 
+// This open's tree over its use of the index's storage.
 struct RstTreeState {
-  RStarBladeOptions options;
-  std::unique_ptr<NodeStore> base_store;
-  // Frame pool above the base store; locking decorates the cache so the
-  // destruction order (locking → cache → base) keeps write-back safe.
-  std::unique_ptr<NodeCache> node_cache;
-  std::unique_ptr<LockingNodeStore> locking_store;
-  NodeStore* store = nullptr;
+  std::unique_ptr<IndexStore> storage;
   std::unique_ptr<RStarTree> tree;
 };
 
 RstTreeState* StateOf(MiAmTableDesc* desc) {
   return static_cast<RstTreeState*>(desc->user_data);
-}
-
-std::vector<uint8_t> EncodeRecord(uint64_t lo, NodeId anchor) {
-  std::vector<uint8_t> out(16);
-  StoreU64(out.data(), lo);
-  StoreU64(out.data() + 8, anchor);
-  return out;
 }
 
 // Conservative index filter: both the data's and the query's transformed
@@ -96,59 +82,27 @@ BladeFns MakeBladeFns(const RStarBladeOptions& options) {
   BladeFns fns;
   const std::string am_name = options.am_name;
 
-  auto make_store = [options](MiCallContext& ctx, RstTreeState* state,
-                              const IndexDef* index, LoHandle handle,
-                              LoHandle* out_handle) -> Status {
-    Sbspace* sbspace = ctx.server->FindSbspace(index->space);
-    if (sbspace == nullptr) {
-      return Status::NotFound("sbspace '" + index->space + "'");
-    }
-    auto store_or = SingleLoNodeStore::Open(sbspace, handle);
-    if (!store_or.ok()) return store_or.status();
-    *out_handle = store_or.value()->handle();
-    state->base_store = std::move(store_or).value();
-    NodeStore* tree_store = state->base_store.get();
-    if (options.node_cache_pages > 0) {
-      state->node_cache =
-          std::make_unique<NodeCache>(tree_store, options.node_cache_pages);
-      state->node_cache->set_trace(&ctx.server->trace());
-      state->node_cache->set_heat(&ctx.server->heat_tracker(), index->name);
-      if (ctx.server->observability_enabled()) {
-        state->node_cache->set_metrics(&ctx.server->metrics());
-      }
-      tree_store = state->node_cache.get();
-    }
-    state->locking_store = std::make_unique<LockingNodeStore>(
-        tree_store, &ctx.server->lock_manager(), ctx.session);
-    state->store = state->locking_store.get();
-    return Status::OK();
-  };
+  // The single-LO layout the baseline always uses (§5.3).
+  IndexStoreOptions store_options;
+  store_options.node_cache_pages = options.node_cache_pages;
 
-  auto open_tree = [options, am_name, make_store](
+  auto open_tree = [options, am_name, store_options](
                        MiCallContext& ctx, MiAmTableDesc* desc) -> Status {
     auto state = std::make_unique<RstTreeState>();
-    state->options = options;
-    std::vector<uint8_t> bytes;
-    GRTDB_RETURN_IF_ERROR(
-        ctx.server->AmCatalogGet(am_name, desc->index->name, &bytes));
-    if (bytes.size() != 16) {
-      return Status::Corruption("bad rstar_am catalog record");
-    }
-    LoHandle handle{LoadU64(bytes.data())};
-    const NodeId anchor = LoadU64(bytes.data() + 8);
-    LoHandle out_handle;
-    GRTDB_RETURN_IF_ERROR(
-        make_store(ctx, state.get(), desc->index, handle, &out_handle));
-    auto tree_or =
-        RStarTree::Open(state->store, anchor, options.tree);
+    auto storage_or =
+        IndexStore::Attach(ctx, am_name, desc->index, store_options);
+    if (!storage_or.ok()) return storage_or.status();
+    state->storage = std::move(storage_or).value();
+    auto tree_or = RStarTree::Open(state->storage->store(),
+                                   state->storage->anchor(), options.tree);
     if (!tree_or.ok()) return tree_or.status();
     state->tree = std::move(tree_or).value();
     desc->user_data = state.release();
     return Status::OK();
   };
 
-  fns.create = [options, am_name, make_store](MiCallContext& ctx,
-                                              MiAmTableDesc* desc) -> Status {
+  fns.create = [options, am_name, store_options](
+                   MiCallContext& ctx, MiAmTableDesc* desc) -> Status {
     if (desc->key_types.size() != 1 ||
         desc->key_types[0].base != TypeDesc::Base::kOpaque ||
         desc->key_types[0].opaque_id != TimeExtentTypeId(ctx.server)) {
@@ -156,16 +110,16 @@ BladeFns MakeBladeFns(const RStarBladeOptions& options) {
           am_name + " indexes exactly one grt_timeextent column");
     }
     auto state = std::make_unique<RstTreeState>();
-    state->options = options;
-    LoHandle handle;
-    GRTDB_RETURN_IF_ERROR(
-        make_store(ctx, state.get(), desc->index, LoHandle{}, &handle));
+    auto storage_or =
+        IndexStore::Create(ctx, am_name, desc->index, store_options);
+    if (!storage_or.ok()) return storage_or.status();
+    state->storage = std::move(storage_or).value();
     NodeId anchor;
-    auto tree_or = RStarTree::Create(state->store, options.tree, &anchor);
+    auto tree_or =
+        RStarTree::Create(state->storage->store(), options.tree, &anchor);
     if (!tree_or.ok()) return tree_or.status();
     state->tree = std::move(tree_or).value();
-    GRTDB_RETURN_IF_ERROR(ctx.server->AmCatalogPut(
-        am_name, desc->index->name, EncodeRecord(handle.id, anchor)));
+    GRTDB_RETURN_IF_ERROR(state->storage->SaveRecord(ctx, anchor));
     desc->user_data = state.release();
     return Status::OK();
   };
@@ -175,41 +129,23 @@ BladeFns MakeBladeFns(const RStarBladeOptions& options) {
     return open_tree(ctx, desc);
   };
 
-  fns.close = [](MiCallContext&, MiAmTableDesc* desc) -> Status {
+  fns.close = [](MiCallContext& ctx, MiAmTableDesc* desc) -> Status {
     RstTreeState* state = StateOf(desc);
     if (state == nullptr) return Status::OK();
-    Status status = Status::OK();
-    // Write back dirty cached nodes while this statement's exclusive LO
-    // locks are still held; the next opener builds a fresh cache.
-    if (state->node_cache != nullptr) {
-      status = state->node_cache->Flush();
-    }
-    if (state->locking_store != nullptr) {
-      state->locking_store->ReleaseSharedOnClose();
-    }
+    Status status = state->storage->Close(ctx);
     delete state;
     desc->user_data = nullptr;
     return status;
   };
 
-  fns.drop = [am_name, open_tree](MiCallContext& ctx,
-                                  MiAmTableDesc* desc) -> Status {
+  fns.drop = [open_tree](MiCallContext& ctx, MiAmTableDesc* desc) -> Status {
     if (desc->user_data == nullptr) {
       GRTDB_RETURN_IF_ERROR(open_tree(ctx, desc));
     }
     RstTreeState* state = StateOf(desc);
     Status status = state->tree->Drop();
-    std::vector<uint8_t> bytes;
-    if (status.ok() &&
-        ctx.server->AmCatalogGet(am_name, desc->index->name, &bytes).ok() &&
-        bytes.size() == 16) {
-      Sbspace* sbspace = ctx.server->FindSbspace(desc->index->space);
-      if (sbspace != nullptr) {
-        status = sbspace->DropLo(LoHandle{LoadU64(bytes.data())});
-      }
-    }
-    Status forget = ctx.server->AmCatalogDelete(am_name, desc->index->name);
-    if (status.ok()) status = forget;
+    Status dropped = state->storage->Drop(ctx);
+    if (status.ok()) status = dropped;
     delete state;
     desc->user_data = nullptr;
     return status;
@@ -286,8 +222,10 @@ BladeFns MakeBladeFns(const RStarBladeOptions& options) {
     if (state == nullptr) return Status::Internal("index not open");
     TimeExtent extent;
     GRTDB_RETURN_IF_ERROR(ExtentFromValue(keyrow.at(0), &extent));
-    return state->tree->Insert(
-        TransformExtent(extent, options.max_timestamp), rowid);
+    return state->storage->Mutate([&] {
+      return state->tree->Insert(
+          TransformExtent(extent, options.max_timestamp), rowid);
+    });
   };
 
   fns.remove = [options](MiCallContext&, MiAmTableDesc* desc,
@@ -297,8 +235,10 @@ BladeFns MakeBladeFns(const RStarBladeOptions& options) {
     TimeExtent extent;
     GRTDB_RETURN_IF_ERROR(ExtentFromValue(keyrow.at(0), &extent));
     bool found = false;
-    GRTDB_RETURN_IF_ERROR(state->tree->Delete(
-        TransformExtent(extent, options.max_timestamp), rowid, &found));
+    GRTDB_RETURN_IF_ERROR(state->storage->Mutate([&] {
+      return state->tree->Delete(
+          TransformExtent(extent, options.max_timestamp), rowid, &found);
+    }));
     if (!found) {
       return Status::NotFound("index entry to delete was not found");
     }
@@ -347,7 +287,7 @@ BladeFns MakeBladeFns(const RStarBladeOptions& options) {
     report.access_method = desc->index->access_method;
     report.size = state->tree->size();
     report.height = state->tree->height();
-    report.free_list = state->store->FreeListLength();
+    report.free_list = state->storage->store()->FreeListLength();
     report.computed_at = BladeCurrentTime(ctx);
     const size_t max_entries = state->tree->max_entries();
     uint64_t total_entries = 0;

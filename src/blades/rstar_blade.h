@@ -25,8 +25,8 @@ struct RStarBladeOptions {
   // The substitute for UC/NOW; must exceed every ground timestamp in the
   // workload.
   int64_t max_timestamp = 200000;  // ~ year 2517
-  // Frames in the buffer-managed node cache above the single-LO store;
-  // 0 disables caching.
+  // Frames in the index's node cache above the single-LO store, shared by
+  // every statement that opens the index; at least 1.
   size_t node_cache_pages = 64;
 };
 

@@ -6,7 +6,11 @@ namespace grtdb {
 namespace obs {
 
 HeatTracker::HeatTracker(size_t max_nodes)
-    : max_nodes_(max_nodes == 0 ? 1 : max_nodes) {}
+    : max_nodes_(max_nodes == 0 ? 1 : max_nodes) {
+  for (size_t i = 0; i < kShards; ++i) {
+    shards_[i].cap = max_nodes_ / kShards + (i < max_nodes_ % kShards ? 1 : 0);
+  }
+}
 
 uint32_t HeatTracker::RegisterStore(const std::string& label) {
   std::lock_guard<std::mutex> lock(stores_mu_);
@@ -43,11 +47,10 @@ void HeatTracker::RecordAccess(uint32_t store, uint64_t node,
   std::lock_guard<std::mutex> lock(shard.mu);
   auto it = shard.nodes.find(key);
   if (it == shard.nodes.end()) {
-    if (admitted_.load(std::memory_order_relaxed) >= max_nodes_) {
+    if (shard.nodes.size() >= shard.cap) {
       dropped_.fetch_add(1, std::memory_order_relaxed);
       return;
     }
-    admitted_.fetch_add(1, std::memory_order_relaxed);
     it = shard.nodes.emplace(key, NodeHeat{}).first;
     it->second.epoch = epoch;
   }
@@ -103,7 +106,6 @@ void HeatTracker::Clear() {
     std::lock_guard<std::mutex> lock(shard.mu);
     shard.nodes.clear();
   }
-  admitted_.store(0, std::memory_order_relaxed);
   dropped_.store(0, std::memory_order_relaxed);
 }
 

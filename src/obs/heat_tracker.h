@@ -47,9 +47,12 @@ struct HotNode {
 // read/write/pin-wait tallies stay cumulative for the bench's assertions.
 //
 // Bounded: at most max_nodes distinct (store, node) keys are retained
-// across all shards; accesses to new keys beyond the cap are counted in
-// dropped() instead of admitted, so a scan over an arbitrarily large index
-// cannot balloon the tracker.
+// across all shards. The cap is split evenly over the shards and each
+// shard enforces its share under its own mutex, so concurrent admissions
+// and Clear() can never push the total past max_nodes; accesses to new
+// keys beyond a shard's share are counted in dropped() instead of
+// admitted, so a scan over an arbitrarily large index cannot balloon the
+// tracker.
 class HeatTracker {
  public:
   static constexpr size_t kDefaultMaxNodes = 4096;
@@ -96,9 +99,15 @@ class HeatTracker {
 
   size_t max_nodes() const { return max_nodes_; }
 
- private:
   static constexpr size_t kShards = 16;
 
+  // Shard a (store, node) key lands in: nodes i, i + kShards, i + 2 *
+  // kShards, ... of every store share a shard (exposed for tests).
+  static size_t ShardOf(uint32_t store, uint64_t node) {
+    return KeyFor(store, node) % kShards;
+  }
+
+ private:
   struct NodeHeat {
     double heat = 0.0;
     uint64_t reads = 0;
@@ -111,6 +120,7 @@ class HeatTracker {
     mutable std::mutex mu;
     // Key packs (store, node); see KeyFor.
     std::unordered_map<uint64_t, NodeHeat> nodes;
+    size_t cap = 0;  // this shard's share of max_nodes
   };
 
   static uint64_t KeyFor(uint32_t store, uint64_t node) {
@@ -126,7 +136,6 @@ class HeatTracker {
   std::atomic<bool> enabled_{false};
   std::atomic<uint64_t> ops_{0};
   std::atomic<uint64_t> epoch_{0};
-  std::atomic<uint64_t> admitted_{0};
   std::atomic<uint64_t> dropped_{0};
   Shard shards_[kShards];
 

@@ -29,6 +29,12 @@ void FlattenConjuncts(const sql::Expr* expr,
 
 }  // namespace
 
+Status Server::LockTableShared(ServerSession* session,
+                               const std::string& table) {
+  return lock_manager_.Acquire(session->txn_session().current_txn()->id(),
+                               TableResource(table), LockMode::kShared);
+}
+
 Status Server::CoerceLiteral(const sql::Literal& literal,
                              const TypeDesc& type, Value* out) const {
   if (literal.kind == sql::Literal::Kind::kParam) {
@@ -686,11 +692,9 @@ Status Server::ExecSelect(ServerSession* session, const sql::SelectStmt& stmt,
   bool implicit = false;
   GRTDB_RETURN_IF_ERROR(
       txn_manager_.EnsureTxn(&session->txn_session(), &implicit));
-  const TxnId txn = session->txn_session().current_txn()->id();
   MiCallContext ctx{this, session, current_time_};
 
-  Status status = lock_manager_.Acquire(txn, TableResource(stmt.table),
-                                        LockMode::kShared);
+  Status status = LockTableShared(session, stmt.table);
   uint64_t count = 0;
   auto emit = [&](const Row& row) -> Status {
     ++count;

@@ -126,7 +126,57 @@ Server::Server(const ServerOptions& options)
   obs::FlightRecorder::InstallSignalHandler();
 }
 
-Server::~Server() = default;
+Server::~Server() {
+  // Index handles hold node caches and logs over the sbspaces and files;
+  // make them durable while those still exist.
+  std::lock_guard<std::mutex> lock(index_handles_mu_);
+  for (auto& [name, slot] : index_handles_) {
+    std::lock_guard<std::mutex> slot_lock(slot->mu);
+    if (slot->handle == nullptr) continue;
+    Status released = slot->handle->Release();
+    if (!released.ok()) {
+      trace_.Tprintf("server", 1, "release of index handle %s failed: %s",
+                     name.c_str(), released.ToString().c_str());
+    }
+  }
+  index_handles_.clear();
+}
+
+StatusOr<IndexHandle*> Server::AttachIndexHandle(
+    const std::string& index, const IndexHandleFactory& build) {
+  std::shared_ptr<IndexHandleSlot> slot;
+  {
+    std::lock_guard<std::mutex> lock(index_handles_mu_);
+    std::shared_ptr<IndexHandleSlot>& entry = index_handles_[ToLower(index)];
+    if (entry == nullptr) entry = std::make_shared<IndexHandleSlot>();
+    slot = entry;
+  }
+  // Building can replay a long log (an external file's recovery); only
+  // opens of this index wait for it.
+  std::lock_guard<std::mutex> lock(slot->mu);
+  if (slot->handle == nullptr) {
+    auto built = build();
+    if (!built.ok()) return built.status();
+    slot->handle = std::move(built).value();
+  }
+  return slot->handle.get();
+}
+
+Status Server::ReleaseIndexHandle(const std::string& index) {
+  std::shared_ptr<IndexHandleSlot> slot;
+  {
+    std::lock_guard<std::mutex> lock(index_handles_mu_);
+    auto it = index_handles_.find(ToLower(index));
+    if (it == index_handles_.end()) return Status::OK();
+    slot = std::move(it->second);
+    index_handles_.erase(it);
+  }
+  std::lock_guard<std::mutex> lock(slot->mu);
+  if (slot->handle == nullptr) return Status::OK();
+  Status released = slot->handle->Release();
+  slot->handle.reset();
+  return released;
+}
 
 Status Server::CreateSbspace(const std::string& name) {
   const std::string key = ToLower(name);
@@ -1460,6 +1510,10 @@ Status Server::ExecDropIndex(ServerSession* session,
     PurposeCallScope call(this, session, am, obs::PurposeFn::kAmDrop);
     status = am->hooks.am_drop(ctx, &desc);
   }
+  // A blade releases its handle before destroying the storage under it;
+  // one it left behind must not outlive the index.
+  Status released = ReleaseIndexHandle(stmt.index);
+  if (status.ok()) status = released;
   if (status.ok()) status = catalog_.DropIndex(stmt.index);
   if (status.ok()) {
     // A retained stats report must not outlive its index.
@@ -1630,8 +1684,12 @@ Status Server::ExecCheckIndex(ServerSession* session,
   GRTDB_RETURN_IF_ERROR(
       txn_manager_.EnsureTxn(&session->txn_session(), &implicit));
   MiCallContext ctx{this, session, current_time_};
+  // The index is shared by every statement (its blade handle), so reading
+  // it whole takes the table's S lock, as a SELECT does: no writer is
+  // halfway through a mutation meanwhile.
+  Status status = LockTableShared(session, index->table);
   std::unique_ptr<OpenIndex> open;
-  Status status = OpenIndexDesc(session, index, false, ctx, &open);
+  if (status.ok()) status = OpenIndexDesc(session, index, false, ctx, &open);
   if (status.ok()) {
     {
       PurposeCallScope call(this, session, am, obs::PurposeFn::kAmCheck);
@@ -1659,8 +1717,10 @@ Status Server::RunIndexStats(ServerSession* session, IndexDef* index,
     return Status::NotSupported("access method provides no am_stats");
   }
   MiCallContext ctx{this, session, current_time_};
+  // S lock on the table, as in ExecCheckIndex.
+  Status status = LockTableShared(session, index->table);
   std::unique_ptr<OpenIndex> open;
-  Status status = OpenIndexDesc(session, index, false, ctx, &open);
+  if (status.ok()) status = OpenIndexDesc(session, index, false, ctx, &open);
   if (status.ok()) {
     {
       PurposeCallScope call(this, session, am, obs::PurposeFn::kAmStats);

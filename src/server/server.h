@@ -3,6 +3,7 @@
 
 #include <atomic>
 #include <chrono>
+#include <functional>
 #include <map>
 #include <memory>
 #include <mutex>
@@ -37,6 +38,19 @@ namespace grtdb {
 // Whether a DataBlade should resolve UC/NOW with a per-statement or a
 // per-transaction current time (paper §5.4).
 enum class CurrentTimeMode { kPerStatement, kPerTransaction };
+
+// Blade state that outlives statements: one per index, built by the
+// blade's first am_open and kept until DROP INDEX or server shutdown — the
+// role PER_SYSTEM named memory plays for a real DataBlade (§5.4). The
+// server owns it so that shutdown can release it before the sbspaces it
+// lives in are destroyed.
+class IndexHandle {
+ public:
+  virtual ~IndexHandle() = default;
+  // Makes durable what the handle buffers (dirty cached nodes, the log);
+  // runs once, right before the handle is destroyed.
+  virtual Status Release() = 0;
+};
 
 // A client session: transaction state plus server-side session settings,
 // the session's duration-scoped allocator, and the purpose-function call
@@ -301,6 +315,18 @@ class Server {
   Status CreateSbspace(const std::string& name);
   Sbspace* FindSbspace(const std::string& name);
 
+  // ---- index handles (blade state that outlives statements) ------------
+  // The handle of `index`, built by `build` when the index has none yet.
+  // Concurrent first attaches build it once. The pointer stays valid until
+  // the handle is released, which only DDL (under the exclusive statement
+  // gate) and shutdown do.
+  using IndexHandleFactory =
+      std::function<StatusOr<std::unique_ptr<IndexHandle>>()>;
+  StatusOr<IndexHandle*> AttachIndexHandle(const std::string& index,
+                                           const IndexHandleFactory& build);
+  // Releases and destroys the handle of `index`; OK when it has none.
+  Status ReleaseIndexHandle(const std::string& index);
+
   // ---- the access method's associated catalog table (Table 5: records of
   // index id, fragment id, and BLOB handle) ------------------------------
   Status AmCatalogPut(const std::string& am, const std::string& index,
@@ -369,6 +395,9 @@ class Server {
 
   Status ExecuteStatement(ServerSession* session, const sql::Statement& stmt,
                           ResultSet* out);
+
+  // Statement-level S lock on `table` for the session's transaction.
+  Status LockTableShared(ServerSession* session, const std::string& table);
 
   // Plan-cache fetch with hit/miss accounting.
   Status GetCachedPlan(const std::string& sql,
@@ -490,6 +519,16 @@ class Server {
   std::atomic<int64_t> current_time_;
   std::map<std::string, std::unique_ptr<MemorySpace>> space_backends_;
   std::map<std::string, std::unique_ptr<Sbspace>> sbspaces_;
+  // Declared after the sbspaces so that even without the destructor's
+  // explicit release the handles would go first.
+  // An index's handle is built under its slot's own mutex, so a first
+  // attach that recovers a long log stalls only opens of that index.
+  struct IndexHandleSlot {
+    std::mutex mu;
+    std::unique_ptr<IndexHandle> handle;
+  };
+  std::mutex index_handles_mu_;
+  std::map<std::string, std::shared_ptr<IndexHandleSlot>> index_handles_;
   mutable std::mutex am_catalog_mu_;
   std::map<std::string, std::vector<uint8_t>> am_catalog_;
   obs::SlowQueryLog slow_query_log_;

@@ -7,6 +7,7 @@
 #include <cerrno>
 #include <chrono>
 #include <cstring>
+#include <set>
 
 #include "obs/flight_recorder.h"
 #include "obs/span_tracer.h"
@@ -129,6 +130,10 @@ Status WalNodeStore::Recover() {
     uint64_t crc_failures = 0;
     uint64_t bytes_scanned = 0;
     std::vector<uint8_t> payload;
+    // Frees are deferred to the end of the log: a page one transaction
+    // freed and a later one reallocated and wrote is live, and handing it
+    // to the free list would let the next allocation overwrite it.
+    std::set<NodeId> freed;
 
     for (;;) {
       uint8_t header[wal::kFrameHeaderSize];
@@ -190,8 +195,12 @@ Status WalNodeStore::Recover() {
           }
           {
             std::lock_guard<std::mutex> il(inner_mu_);
-            GRTDB_RETURN_IF_ERROR(ApplyTxnInnerLocked(txn));
+            for (const auto& [id, image] : txn.writes) {
+              GRTDB_RETURN_IF_ERROR(inner_->WriteNode(id, image.data()));
+              freed.erase(id);
+            }
           }
+          freed.insert(txn.frees.begin(), txn.frees.end());
           ++replayed;
           open = false;
           offset += 1;
@@ -226,6 +235,9 @@ Status WalNodeStore::Recover() {
     // The log's work is done; flush the replayed state and truncate it.
     {
       std::lock_guard<std::mutex> il(inner_mu_);
+      for (NodeId id : freed) {
+        GRTDB_RETURN_IF_ERROR(inner_->FreeNode(id));
+      }
       GRTDB_RETURN_IF_ERROR(inner_->Flush());
       if (::ftruncate(log_fd_, 0) != 0) {
         return Status::IOError("cannot truncate WAL");
@@ -470,7 +482,7 @@ void WalNodeStore::RunLeaderRound(std::unique_lock<std::mutex>& lk) {
       m_group_commits_->Add();
     }
   }
-  if (trace_ != nullptr && batch.size() > 1) {
+  if (trace_ != nullptr && io.ok()) {
     trace_->Tprintf("wal", 2, "group commit: %llu txns, %llu bytes, 1 fsync",
                     static_cast<unsigned long long>(batch.size()),
                     static_cast<unsigned long long>(blob.size()));

@@ -100,7 +100,8 @@ class WalNodeStore final : public NodeStore {
   // Replays committed-but-unapplied transactions into the inner store and
   // truncates the log. Safe to call on a clean log and idempotent: a
   // second call (or a crash during the first) replays the same physical
-  // images again.
+  // images again. Logged frees are applied once, at the end of the log,
+  // and only for pages that no later transaction in the log wrote again.
   Status Recover();
 
   // Single-session transaction brackets (legacy, not thread-safe against
@@ -136,7 +137,8 @@ class WalNodeStore final : public NodeStore {
   const WalOptions& options() const { return options_; }
 
   // Commit-path events go to `trace` under class "wal" (level 1: recovery
-  // and checkpoints, level 2: per-batch group commits). May be null.
+  // and checkpoints, level 2: every group-commit round, one fsync each).
+  // May be null.
   void set_trace(TraceFacility* trace) { trace_ = trace; }
 
   // Mirrors commit-path activity into server-wide wal.* metrics: commit

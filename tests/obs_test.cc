@@ -2,6 +2,7 @@
 
 #include <unistd.h>
 
+#include <atomic>
 #include <chrono>
 #include <cstring>
 #include <filesystem>
@@ -16,6 +17,7 @@
 #include "blades/gist_blade.h"
 #include "blades/grtree_blade.h"
 #include "blades/rstar_blade.h"
+#include "obs/heat_tracker.h"
 #include "obs/metrics.h"
 #include "obs/query_profile.h"
 #include "obs/slow_query_log.h"
@@ -756,6 +758,57 @@ TEST_F(ObsSqlTest, HeatTrackingRanksHotNodesAndDumps) {
   uint64_t reads_after = 0;
   for (const auto& row : result_.rows) reads_after += std::stoull(row[3]);
   EXPECT_EQ(reads_after, reads_before);
+}
+
+// The node cap under concurrent admission: one thread per shard, released
+// together, each offering many more new nodes than its shard's share of
+// the cap. The tracker must end exactly full, with every refused node in
+// dropped(); then Clear() races a second round of admissions, and after a
+// final Clear the cap must still admit exactly max_nodes.
+TEST(HeatTrackerCap, ConcurrentAdmissionsAndClearNeverPassTheCap) {
+  constexpr size_t kShards = obs::HeatTracker::kShards;
+  constexpr size_t kPerShard = 4;
+  constexpr uint64_t kOffered = 500;  // new nodes per shard per round
+  obs::HeatTracker heat(kShards * kPerShard);
+  heat.set_enabled(true);
+
+  auto race = [&](bool clear_while_racing) {
+    std::atomic<size_t> ready{0};
+    std::atomic<bool> go{false};
+    std::vector<std::thread> threads;
+    for (size_t shard = 0; shard < kShards; ++shard) {
+      threads.emplace_back([&, shard] {
+        ready.fetch_add(1);
+        while (!go.load()) std::this_thread::yield();
+        for (uint64_t i = 0; i < kOffered; ++i) {
+          const uint64_t node = shard + i * kShards;
+          heat.RecordAccess(/*store=*/0, node, obs::HeatAccess::kRead);
+        }
+      });
+    }
+    while (ready.load() < kShards) std::this_thread::yield();
+    go.store(true);
+    if (clear_while_racing) {
+      for (int i = 0; i < 50; ++i) {
+        heat.Clear();
+        EXPECT_LE(heat.Snapshot().size(), heat.max_nodes());
+      }
+    }
+    for (std::thread& t : threads) t.join();
+  };
+
+  for (uint64_t node = 0; node < kShards; ++node) {
+    ASSERT_EQ(obs::HeatTracker::ShardOf(0, node), node);
+  }
+  race(/*clear_while_racing=*/false);
+  EXPECT_EQ(heat.Snapshot().size(), heat.max_nodes());
+  EXPECT_EQ(heat.dropped(), kShards * kOffered - heat.max_nodes());
+
+  race(/*clear_while_racing=*/true);
+  EXPECT_LE(heat.Snapshot().size(), heat.max_nodes());
+  heat.Clear();
+  race(/*clear_while_racing=*/false);
+  EXPECT_EQ(heat.Snapshot().size(), heat.max_nodes());
 }
 
 TEST_F(ObsSqlTest, SetHeatTrackValidatesItsArgument) {

@@ -151,6 +151,97 @@ TEST(WalStore, MultipleTransactionsReplayInOrder) {
   EXPECT_EQ(page[0], 3);  // the last committed image wins
 }
 
+// Replay must not free a page that a later committed transaction in the
+// same log reallocated and wrote: txn 1 frees p, txn 2 gets p back from the
+// free list and writes it, and a restart over a fresh store (an empty
+// in-memory free list, as after a crash) must keep p live.
+TEST(WalStore, RecoverKeepsAPageThatALaterTxnReallocated) {
+  const std::string data_path = LogPath("wal_realloc.dat");
+  const std::string log_path = LogPath("wal_realloc.log");
+  std::remove(data_path.c_str());
+  std::remove(log_path.c_str());
+  NodeId p = kInvalidNodeId;
+  {
+    auto inner_or = ExternalFileNodeStore::Open(data_path);
+    ASSERT_TRUE(inner_or.ok());
+    auto inner = std::move(inner_or).value();
+    auto wal_or = WalNodeStore::Open(inner.get(), log_path);
+    ASSERT_TRUE(wal_or.ok());
+    auto wal = std::move(wal_or).value();
+    ASSERT_TRUE(wal->Recover().ok());
+    NodeId other;
+    ASSERT_TRUE(wal->AllocateNode(&p).ok());
+    ASSERT_TRUE(wal->AllocateNode(&other).ok());
+    uint8_t page[kPageSize];
+    std::memset(page, 0x11, sizeof(page));
+    ASSERT_TRUE(wal->Begin().ok());
+    ASSERT_TRUE(wal->WriteNode(p, page).ok());
+    ASSERT_TRUE(wal->WriteNode(other, page).ok());
+    ASSERT_TRUE(wal->Commit().ok());
+    ASSERT_TRUE(wal->Begin().ok());
+    ASSERT_TRUE(wal->FreeNode(p).ok());
+    ASSERT_TRUE(wal->Commit().ok());
+    NodeId again;
+    ASSERT_TRUE(wal->AllocateNode(&again).ok());
+    ASSERT_EQ(again, p);  // the live free list hands p straight back
+    std::memset(page, 0x22, sizeof(page));
+    ASSERT_TRUE(wal->Begin().ok());
+    ASSERT_TRUE(wal->WriteNode(p, page).ok());
+    ASSERT_TRUE(wal->Commit().ok());
+    // "Crash": the log keeps all three transactions.
+  }
+  auto inner_or = ExternalFileNodeStore::Open(data_path);
+  ASSERT_TRUE(inner_or.ok());
+  auto inner = std::move(inner_or).value();
+  auto wal_or = WalNodeStore::Open(inner.get(), log_path);
+  ASSERT_TRUE(wal_or.ok());
+  auto wal = std::move(wal_or).value();
+  ASSERT_TRUE(wal->Recover().ok());
+  EXPECT_EQ(wal->wal_stats().transactions_replayed, 3u);
+  EXPECT_EQ(wal->FreeListLength(), 0u);
+  uint8_t page[kPageSize];
+  ASSERT_TRUE(wal->ReadNode(p, page).ok());
+  EXPECT_EQ(page[0], 0x22);
+  for (int i = 0; i < 4; ++i) {
+    NodeId fresh;
+    ASSERT_TRUE(wal->AllocateNode(&fresh).ok());
+    EXPECT_NE(fresh, p) << "allocation " << i << " handed out a live page";
+  }
+  ASSERT_TRUE(wal->ReadNode(p, page).ok());
+  EXPECT_EQ(page[0], 0x22);
+  wal.reset();
+  std::remove(data_path.c_str());
+  std::remove(log_path.c_str());
+}
+
+// The converse: a page freed and never rewritten is free again after
+// replay.
+TEST(WalStore, RecoverFreesAPageThatStaysFree) {
+  Fixture fx("wal_stays_free.log");
+  NodeId id;
+  ASSERT_TRUE(fx.wal->AllocateNode(&id).ok());
+  ASSERT_TRUE(fx.wal->Begin().ok());
+  fx.WriteByte(id, 0x33);
+  ASSERT_TRUE(fx.wal->CommitWithCrashBeforeApply().ok());
+  ASSERT_TRUE(fx.wal->Begin().ok());
+  ASSERT_TRUE(fx.wal->FreeNode(id).ok());
+  ASSERT_TRUE(fx.wal->CommitWithCrashBeforeApply().ok());
+  MemorySpace space;
+  Pager pager(&space, 16);
+  PagerNodeStore fresh(&pager);
+  NodeId first;
+  ASSERT_TRUE(fresh.AllocateNode(&first).ok());
+  ASSERT_EQ(first, id);  // same page numbering as the crashed store
+  auto wal_or = WalNodeStore::Open(&fresh, fx.log_path);
+  ASSERT_TRUE(wal_or.ok());
+  auto recovered = std::move(wal_or).value();
+  ASSERT_TRUE(recovered->Recover().ok());
+  EXPECT_EQ(recovered->FreeListLength(), 1u);
+  NodeId reused;
+  ASSERT_TRUE(recovered->AllocateNode(&reused).ok());
+  EXPECT_EQ(reused, id);
+}
+
 TEST(WalStore, CheckpointTruncatesLog) {
   Fixture fx("wal_checkpoint.log");
   NodeId id;
